@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: build all three presets, run the full suite on the
 # optimized build, run the index differential/cache suites under ASan+UBSan,
-# and run the sharded-engine/determinism suites under TSan.
+# and run the ShardPool/determinism suites under TSan.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -28,7 +28,7 @@ ctest --preset asan -j "$jobs" -R \
 # optimized-build property and stays covered by the default-preset run.
 echo "==> sim/net/mpisim suites under ASan/UBSan (engine pools, intrusive waiters, LRU)"
 ctest --preset asan -j "$jobs" -R \
-  '^(Engine|Determinism|EventPool|FramePool|MoveFn|Mutex|Semaphore|Barrier|Gate|WaitGroup|Queue|FairShare|FcfsServer|Runtime|PageCache|Cluster|ClusterConfigValidate|ClusterConfigLookahead|Comm|Topology|FlowNet|MaxMin)\.' \
+  '^(Engine|Determinism|EventPool|FramePool|MoveFn|Mutex|Semaphore|Barrier|Gate|WaitGroup|Queue|FairShare|FcfsServer|Runtime|PageCache|Cluster|ClusterConfigValidate|Comm|Topology|FlowNet|MaxMin|ShardPool|ShardedTraceTest)\.' \
   -E 'DeepAwaitChains'
 
 echo "==> chaos + raft suites under ASan/UBSan (fault injection, retry, failover)"
@@ -47,14 +47,15 @@ echo "==> configure + build (tsan preset)"
 cmake --preset tsan
 cmake --build --preset tsan -j "$jobs"
 
-# The sharded engine's safety argument (shard-local heaps + barrier
-# happens-before + quiescent merges) must hold under ThreadSanitizer, not
-# just under the test matrix. TIO_MATRIX_RANKS shrinks the 4096-rank
-# determinism matrix so the instrumented run stays affordable, and the
-# oversubscribe override lets shards=4/8 paths run on small CI hosts.
+# ShardPool's safety argument (each job's engine on one shard thread,
+# shard-local stats/trace cells, merges only after the threads join) must
+# hold under ThreadSanitizer, not just under the test matrix.
+# TIO_MATRIX_RANKS shrinks the 4096-rank determinism matrix so the
+# instrumented run stays affordable, and the oversubscribe override lets
+# shards=4/8 paths run on small CI hosts.
 echo "==> sim + mpisim suites and the cross-shard determinism matrix under TSan"
 TIO_MATRIX_RANKS=512 TIO_SHARDS_OVERSUBSCRIBE=1 ctest --preset tsan -j "$jobs" -R \
-  '^(Engine|EventPool|FramePool|Determinism|ShardPool|ShardedEngine|ShardedTraceTest|ClusterConfigLookahead|Queue|FairShare|FcfsServer|Runtime|Comm|RaftTest|Topology|FlowNet|MaxMin)\.' \
+  '^(Engine|EventPool|FramePool|Determinism|ShardPool|ShardedTraceTest|Queue|FairShare|FcfsServer|Runtime|Comm|RaftTest|Topology|FlowNet|MaxMin)\.' \
   -E 'DeepAwaitChains'
 
 # The batcher and lease cache run inside every shard's engine when fig7 is

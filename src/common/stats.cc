@@ -80,7 +80,7 @@ double Series::percentile(double p) const {
   return sorted_cache_[nearest_rank_index(p, sorted_cache_.size())];
 }
 
-std::size_t Counter::slot() { return t_stat_shard % kSlots; }
+std::size_t Counter::slot() { return t_stat_shard; }
 
 // One shard's private accumulation. Only its owning thread writes it;
 // readers merge cells while writers are quiescent.

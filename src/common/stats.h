@@ -28,9 +28,10 @@
 namespace tio {
 
 // Upper bound on concurrent stat shards (thread-local shard ids). Shard ids
-// must be unique among concurrently running threads; sim::ShardPool and
-// sim::ShardedEngine assign dense ids 0..shards-1 under this bound.
-inline constexpr unsigned kMaxStatShards = 64;
+// must be unique among concurrently running threads; sim::ShardPool assigns
+// dense ids 0..shards-1 under this bound. Counters and histograms keep one
+// cell per shard id, so no two concurrent shards ever share a cell.
+inline constexpr unsigned kMaxStatShards = 16;
 
 // Sets this thread's stat shard id (throws std::invalid_argument when
 // shard >= kMaxStatShards). Worker threads of a shard pool call this once
@@ -70,13 +71,13 @@ class Series {
 // name the first time they are requested and live for the process lifetime,
 // so holding a `Counter&` across calls is always safe.
 //
-// Internally sharded: add() lands in the calling thread's cell (selected by
-// stat_shard(), aliased into kSlots cells), value() sums every cell. Cells
-// are cache-line-sized so shards incrementing the same counter never
+// Internally sharded: add() lands in the calling thread's cell (the one
+// indexed by stat_shard()), value() sums every cell. Cells are
+// cache-line-sized so shards incrementing the same counter never
 // false-share.
 class Counter {
  public:
-  static constexpr std::size_t kSlots = 16;
+  static constexpr std::size_t kSlots = kMaxStatShards;
 
   void add(std::uint64_t delta = 1) {
     cells_[slot()].v.fetch_add(delta, std::memory_order_relaxed);
@@ -89,8 +90,7 @@ class Counter {
   }
   // This shard's contribution only. Lets a job measure a before/after delta
   // of a global counter without seeing concurrent jobs on other shards
-  // (exact as long as no two concurrent threads alias to one slot, i.e.
-  // shard ids of live threads are distinct mod kSlots).
+  // (exact because shard ids of live threads are distinct).
   std::uint64_t local_value() const {
     return cells_[slot()].v.load(std::memory_order_relaxed);
   }

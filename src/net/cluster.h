@@ -73,25 +73,6 @@ struct ClusterConfig {
   // NIC, no switch hop) — the cheapest interaction the fabric model has.
   Duration intra_node_latency() const { return fabric_latency / 4; }
 
-  // The smallest latency any interaction between two simulated processes
-  // carries — the conservative lookahead for sharded simulation
-  // (sim/sharded.h): an event produced at virtual time t on one shard
-  // cannot affect state on another shard before t + min_remote_latency(),
-  // so engines may advance through [T, T + min_remote_latency()) without
-  // hearing from each other.
-  //
-  // This must include the intra-node path: nothing forces a shard
-  // partition to be node-aligned (ShardedEngine::post only checks the
-  // delay against the lookahead), so two co-resident ranks may live on
-  // different shards and interact at intra_node_latency() — which is
-  // below fabric_latency. Every topology preset's switched path costs at
-  // least one full fabric_latency hop, so the intra-node path is the true
-  // minimum on the fabric side regardless of preset.
-  Duration min_remote_latency() const {
-    const Duration fabric_min = intra_node_latency();
-    return fabric_min < storage_net_latency ? fabric_min : storage_net_latency;
-  }
-
   // Throws std::invalid_argument on zero/negative capacities or counts,
   // non-positive latencies, or rack geometry that does not divide the
   // node count. Cluster's constructor calls this.

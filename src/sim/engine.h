@@ -72,25 +72,15 @@ class Engine {
   // Processes a single event; returns false when the queue is empty.
   bool step();
 
-  // Sharded-execution hooks (sim/sharded.h) — the conservative-window
-  // driver interleaves engines one bounded window at a time.
-  //
-  // Virtual time of the next pending event; INT64_MAX when idle.
-  std::int64_t next_event_ns() const;
-  // Processes events with time strictly before `horizon_ns` (the exclusive
-  // window edge), then stops; returns the number of events run. Does not
-  // publish counters or rethrow process errors — the window driver does
-  // both once, at end of run.
+  // Processes events with time strictly before `horizon_ns` (exclusive),
+  // then stops; returns the number of events run. Lets a test drive a
+  // simulation that never goes idle (e.g. a Raft group's heartbeats) to a
+  // fixed virtual time. Does not publish counters or rethrow process
+  // errors; a later run() does both.
   std::uint64_t run_until(std::int64_t horizon_ns);
-  // Flushes this engine's deltas into the process-global sim.engine.*
-  // counters (run() does this automatically; window drivers call it once
-  // at the end).
-  void publish_counters();
-  // Rethrows (and clears) the first error a detached process recorded.
-  void rethrow_pending_error();
   // True while this engine is dispatching an event on the calling thread.
   // Sync primitives assert this in debug builds: a coroutine bound to an
-  // engine must only await on the shard thread currently running it.
+  // engine must only await on the ShardPool thread currently running it.
   bool is_current() const;
 
   std::uint64_t events_processed() const { return events_processed_; }
@@ -117,6 +107,14 @@ class Engine {
   }
 
  private:
+  // Virtual time of the next pending event; INT64_MAX when idle.
+  std::int64_t next_event_ns() const;
+  // Flushes this engine's deltas into the process-global sim.engine.*
+  // counters.
+  void publish_counters();
+  // Rethrows (and clears) the first error a detached process recorded.
+  void rethrow_pending_error();
+
   // Heap records carry the full ordering key; the callable stays in the
   // slab so sift operations never move or inspect it. The sequence number
   // and slot index pack into one word (seq in the high bits, so comparing

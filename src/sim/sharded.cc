@@ -1,15 +1,12 @@
 #include "sim/sharded.h"
 
-#include <barrier>
-#include <chrono>
-#include <limits>
+#include <exception>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
 #include "common/stats.h"
 #include "common/trace.h"
-#include "sim/engine.h"
 #include "sim/frame_pool.h"
 
 namespace tio::sim {
@@ -71,153 +68,6 @@ void ShardPool::run_all() {
   for (auto& e : errors) {
     if (e) std::rethrow_exception(e);
   }
-}
-
-ShardedEngine::ShardedEngine(const Options& options)
-    : shards_(options.shards), lookahead_(options.lookahead) {
-  if (shards_ < 1 || shards_ > kMaxShards) {
-    throw std::invalid_argument("ShardedEngine: shards must be in [1, kMaxShards]");
-  }
-  if (lookahead_ <= Duration::zero()) {
-    throw std::invalid_argument("ShardedEngine: lookahead must be positive");
-  }
-  by_shard_.resize(shards_);
-}
-
-ShardedEngine::Slot& ShardedEngine::slot_of(const Engine& e) {
-  for (Slot& s : slots_) {
-    if (s.engine == &e) return s;
-  }
-  throw std::logic_error("ShardedEngine: engine not adopted");
-}
-
-void ShardedEngine::adopt(std::size_t shard, Engine& engine) {
-  if (running_) throw std::logic_error("ShardedEngine::adopt: run in progress");
-  if (shard >= shards_) throw std::out_of_range("ShardedEngine::adopt: bad shard");
-  for (const Slot& s : slots_) {
-    if (s.engine == &engine) throw std::logic_error("ShardedEngine::adopt: duplicate");
-  }
-  slots_.push_back(Slot{&engine, shard, 0, {}});
-  by_shard_[shard].push_back(slots_.size() - 1);
-}
-
-void ShardedEngine::post(Engine& src, Engine& dst, Duration delay, MoveFn<void()> fn) {
-  if (delay < lookahead_) {
-    // The conservative contract: nothing crosses engines faster than the
-    // lookahead, or windows would no longer be causally closed.
-    throw std::logic_error("ShardedEngine::post: delay below lookahead");
-  }
-  Slot& src_slot = slot_of(src);
-  slot_of(dst);  // both endpoints must be adopted
-  std::int64_t deliver_ns;
-  if (__builtin_add_overflow(src.now().to_ns(), delay.to_ns(), &deliver_ns)) {
-    deliver_ns = std::numeric_limits<std::int64_t>::max();
-  }
-  src_slot.outbox.push_back(Message{&dst, deliver_ns, std::move(fn)});
-}
-
-void ShardedEngine::deliver_and_plan() {
-  for (const auto& e : shard_errors_) {
-    if (e) {  // a shard halted: abort at this boundary, run() rethrows
-      done_ = true;
-      return;
-    }
-  }
-  // Drain outboxes in (engine adopt index, send order) — a total order
-  // with no dependence on shard placement. Delivery lands in each dst's
-  // own (time, seq) queue; deliver_ns >= the last horizon >= dst.now().
-  for (Slot& s : slots_) {
-    for (Message& m : s.outbox) {
-      ++messages_;
-      m.dst->at(TimePoint::from_ns(m.deliver_ns), std::move(m.fn));
-    }
-    s.outbox.clear();
-  }
-  std::int64_t t_min = std::numeric_limits<std::int64_t>::max();
-  for (const Slot& s : slots_) {
-    const std::int64_t t = s.engine->next_event_ns();
-    if (t < t_min) t_min = t;
-  }
-  if (t_min == std::numeric_limits<std::int64_t>::max()) {
-    // Globally drained. (Events saturated to the far-future sentinel are
-    // treated as never occurring; they represent unreachable timers.)
-    done_ = true;
-    return;
-  }
-  if (__builtin_add_overflow(t_min, lookahead_.to_ns(), &horizon_ns_)) {
-    horizon_ns_ = std::numeric_limits<std::int64_t>::max();
-  }
-  ++windows_;
-}
-
-void ShardedEngine::run_window(std::size_t shard) {
-  if (shard_errors_[shard]) return;
-  try {
-    for (std::size_t idx : by_shard_[shard]) {
-      slots_[idx].engine->run_until(horizon_ns_);
-    }
-  } catch (...) {
-    shard_errors_[shard] = std::current_exception();
-  }
-}
-
-std::uint64_t ShardedEngine::run() {
-  if (running_) throw std::logic_error("ShardedEngine::run: already running");
-  running_ = true;
-  done_ = false;
-  shard_errors_.assign(shards_, nullptr);
-  for (Slot& s : slots_) s.events_at_start = s.engine->events_processed();
-  const std::uint64_t windows_before = windows_;
-  const std::uint64_t messages_before = messages_;
-  trace::Tracer::instance().note_shard_count(shards_);
-  const auto wall_start = std::chrono::steady_clock::now();
-
-  if (shards_ == 1) {
-    for (deliver_and_plan(); !done_; deliver_and_plan()) run_window(0);
-  } else {
-    std::barrier sync(static_cast<std::ptrdiff_t>(shards_),
-                      [this]() noexcept { deliver_and_plan(); });
-    const auto worker = [&](std::size_t shard) {
-      set_stat_shard(static_cast<unsigned>(shard));
-      while (true) {
-        // The completion function runs the serial phase between windows;
-        // the barrier's happens-before publishes horizon_ns_/done_ and the
-        // delivered events to every shard.
-        sync.arrive_and_wait();
-        if (done_) break;
-        run_window(shard);
-      }
-      FramePool::publish_counters();
-      FramePool::trim();  // cached frames on an exited thread read as leaks
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(shards_ - 1);
-    for (std::size_t s = 1; s < shards_; ++s) threads.emplace_back(worker, s);
-    worker(0);
-    for (auto& t : threads) t.join();
-  }
-
-  const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           std::chrono::steady_clock::now() - wall_start)
-                           .count();
-  counter("sim.engine.sharded_wall_ns").add(static_cast<std::uint64_t>(wall_ns));
-  counter("sim.engine.windows").add(windows_ - windows_before);
-  counter("sim.engine.cross_shard_events").add(messages_ - messages_before);
-  std::uint64_t total = 0;
-  for (Slot& s : slots_) {
-    s.engine->publish_counters();
-    total += s.engine->events_processed() - s.events_at_start;
-  }
-  running_ = false;
-  for (auto& e : shard_errors_) {
-    if (e) {
-      auto err = e;
-      shard_errors_.assign(shards_, nullptr);
-      std::rethrow_exception(err);
-    }
-  }
-  for (Slot& s : slots_) s.engine->rethrow_pending_error();
-  return total;
 }
 
 }  // namespace tio::sim

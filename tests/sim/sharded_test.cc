@@ -1,19 +1,15 @@
 // Tests for the sharded execution layer: ShardPool (independent
-// simulations spread across OS threads), ShardedEngine (coupled engines
-// under conservative time windows), shard-local stats accumulation, and
-// the multi-shard trace export.
+// simulations spread across OS threads), shard-local stats accumulation,
+// and the multi-shard trace export.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.h"
 #include "common/trace.h"
-#include "net/cluster.h"
 #include "sim/engine.h"
 #include "sim/sharded.h"
 
@@ -23,6 +19,9 @@ namespace {
 TEST(ShardPool, RejectsInvalidShardCounts) {
   EXPECT_THROW(ShardPool{0}, std::invalid_argument);
   EXPECT_THROW(ShardPool{kMaxShards + 1}, std::invalid_argument);
+  // Every shard needs a counter cell of its own, or concurrent shards would
+  // mix their local_value() deltas.
+  EXPECT_THROW(ShardPool{Counter::kSlots + 1}, std::invalid_argument);
   EXPECT_NO_THROW(ShardPool{1});
   EXPECT_NO_THROW(ShardPool{kMaxShards});
 }
@@ -113,163 +112,6 @@ TEST(ShardPool, PidBlocksAreDeterministicAcrossRuns) {
     EXPECT_EQ(a[j] - a[0], static_cast<std::uint32_t>(j) * ShardPool::kPidsPerJob);
   }
   tracer.clear();
-}
-
-TEST(ShardedEngine, ValidatesOptionsAndAdoption) {
-  ShardedEngine::Options bad;
-  bad.shards = 0;
-  EXPECT_THROW(ShardedEngine{bad}, std::invalid_argument);
-  bad.shards = kMaxShards + 1;
-  EXPECT_THROW(ShardedEngine{bad}, std::invalid_argument);
-  bad.shards = 2;
-  bad.lookahead = Duration::ns(0);
-  EXPECT_THROW(ShardedEngine{bad}, std::invalid_argument);
-
-  ShardedEngine::Options opts;
-  opts.shards = 2;
-  ShardedEngine se(opts);
-  Engine a;
-  Engine b;
-  EXPECT_THROW(se.adopt(2, a), std::out_of_range);
-  se.adopt(0, a);
-  EXPECT_THROW(se.adopt(1, a), std::logic_error);  // duplicate adoption
-  EXPECT_THROW(se.post(a, b, Duration::us(5), [] {}), std::logic_error);  // b not adopted
-  se.adopt(1, b);
-  // The conservative contract: no cross-engine effect below the lookahead.
-  EXPECT_THROW(se.post(a, b, Duration::ns(1), [] {}), std::logic_error);
-}
-
-struct PingResult {
-  std::int64_t a_end_ns;
-  std::int64_t b_end_ns;
-  std::uint64_t events;
-  std::uint64_t messages;
-
-  bool operator==(const PingResult&) const = default;
-};
-
-PingResult run_ping(std::size_t shards, int hops) {
-  ShardedEngine::Options opts;
-  opts.shards = shards;
-  opts.lookahead = Duration::us(1);
-  ShardedEngine se(opts);
-  Engine a;
-  Engine b;
-  se.adopt(0, a);
-  se.adopt(shards > 1 ? 1 : 0, b);
-  struct Pinger {
-    ShardedEngine* se;
-    int left;
-    void send(Engine& from, Engine& to) {
-      if (left-- <= 0) return;
-      se->post(from, to, Duration::us(3), [this, &from, &to] { send(to, from); });
-    }
-  } ping{&se, hops};
-  ping.send(a, b);
-  const std::uint64_t events = se.run();
-  return PingResult{a.now().to_ns(), b.now().to_ns(), events, se.messages_delivered()};
-}
-
-TEST(ShardedEngine, CrossShardPingMatchesSerialPlacement) {
-  // Simulated results are a pure function of the message pattern — the
-  // shard placement (all-on-one vs one-per-shard) must not show through.
-  const PingResult serial = run_ping(1, 50);
-  const PingResult sharded = run_ping(2, 50);
-  EXPECT_EQ(serial, sharded);
-  EXPECT_EQ(serial.messages, 50u);
-  EXPECT_GT(serial.b_end_ns, 0);
-}
-
-TEST(ShardedEngine, DeliversInAdoptThenSendOrder) {
-  const auto run_order = [](std::size_t shards) {
-    ShardedEngine::Options opts;
-    opts.shards = shards;
-    opts.lookahead = Duration::us(1);
-    ShardedEngine se(opts);
-    Engine a;
-    Engine b;
-    Engine dst;
-    se.adopt(0, a);
-    se.adopt(shards > 1 ? 1 : 0, b);
-    se.adopt(shards > 2 ? 2 : 0, dst);
-    std::vector<std::string> order;
-    // Four messages landing at the same virtual time from two sources; the
-    // serial boundary drain fixes the order as (src adopt index, send seq)
-    // regardless of posting order or placement.
-    se.post(b, dst, Duration::us(5), [&order] { order.push_back("b0"); });
-    se.post(a, dst, Duration::us(5), [&order] { order.push_back("a0"); });
-    se.post(a, dst, Duration::us(5), [&order] { order.push_back("a1"); });
-    se.post(b, dst, Duration::us(5), [&order] { order.push_back("b1"); });
-    se.run();
-    return order;
-  };
-  const std::vector<std::string> want = {"a0", "a1", "b0", "b1"};
-  EXPECT_EQ(run_order(1), want);
-  EXPECT_EQ(run_order(2), want);
-  EXPECT_EQ(run_order(3), want);
-}
-
-TEST(ClusterConfigLookahead, MinRemoteLatencyIsSmallestLink) {
-  // Regression (lookahead soundness): min_remote_latency() used to be
-  // min(fabric_latency, storage_net_latency), but co-resident ranks
-  // interact at intra_node_latency() = fabric_latency / 4 — and nothing
-  // forces a shard partition to be node-aligned, so the advertised
-  // lookahead was 4x too optimistic on the fabric side. Every switched
-  // topology preset costs at least one full fabric_latency hop, so the
-  // intra-node path is the fabric minimum for every preset.
-  net::ClusterConfig cfg;
-  cfg.fabric_latency = Duration::us(3);
-  cfg.storage_net_latency = Duration::us(7);
-  EXPECT_LE(cfg.min_remote_latency().to_ns(), cfg.intra_node_latency().to_ns());
-  EXPECT_EQ(cfg.min_remote_latency().to_ns(), Duration::ns(750).to_ns());
-  cfg.storage_net_latency = Duration::us(2);  // still above fabric / 4
-  EXPECT_EQ(cfg.min_remote_latency().to_ns(), Duration::ns(750).to_ns());
-  cfg.storage_net_latency = Duration::ns(500);  // storage below the fabric
-  EXPECT_EQ(cfg.min_remote_latency().to_ns(), Duration::ns(500).to_ns());
-}
-
-// The hazard pinned end-to-end: one node's ranks split across shards and
-// exchange intra-node messages, with the engines coupled at exactly
-// min_remote_latency(). Under the old lookahead, ShardedEngine::post
-// rejects the sub-lookahead delay outright (logic_error) — this function
-// throws and the test fails on the old code. Under the sound lookahead the
-// result must be a pure function of the message pattern, independent of
-// the shard count.
-PingResult run_intra_node_ring(std::size_t shards, int hops) {
-  net::ClusterConfig cfg;  // defaults: fabric 2 us -> intra-node 500 ns
-  ShardedEngine::Options opts;
-  opts.shards = shards;
-  opts.lookahead = cfg.min_remote_latency();
-  ShardedEngine se(opts);
-  // Four "co-resident ranks"; with shards > 1 the node straddles shards.
-  std::array<Engine, 4> ranks;
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    se.adopt(i % shards, ranks[i]);
-  }
-  struct Ring {
-    ShardedEngine* se;
-    std::array<Engine, 4>* ranks;
-    Duration delay;
-    int left;
-    void send(std::size_t at) {
-      if (left-- <= 0) return;
-      const std::size_t next = (at + 1) % ranks->size();
-      se->post((*ranks)[at], (*ranks)[next], delay, [this, next] { send(next); });
-    }
-  } ring{&se, &ranks, cfg.intra_node_latency(), hops};
-  ring.send(0);
-  const std::uint64_t events = se.run();
-  return PingResult{ranks[0].now().to_ns(), ranks[1].now().to_ns(), events,
-                    se.messages_delivered()};
-}
-
-TEST(ClusterConfigLookahead, IntraNodeSplitAcrossShardsIsDeterministic) {
-  const PingResult serial = run_intra_node_ring(1, 40);
-  EXPECT_EQ(serial.messages, 40u);
-  EXPECT_GT(serial.b_end_ns, 0);
-  for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    EXPECT_EQ(run_intra_node_ring(shards, 40), serial) << "shards=" << shards;
-  }
 }
 
 class ShardedTraceTest : public ::testing::Test {
